@@ -1,32 +1,16 @@
-"""Simulation-grade cryptographic primitives.
+"""Cryptographic primitives: PSP's AEAD, key derivation, toy signatures.
 
 The paper's ILP uses PSP [34], an AEAD designed for NIC offload that
-operates on individual packets with no inter-packet state. We reproduce the
-*properties* the architecture depends on — per-packet independence,
-pairwise keys, authenticated encryption, cheap key derivation and rotation —
-with stdlib ``hashlib``/``hmac`` building blocks.
+operates on individual packets with no inter-packet state. PSP's cipher is
+AES-GCM, and so is ours: :class:`SealingKey` is AES-256-GCM from the
+``cryptography`` package under a subkey derived from the caller's key.
 
-**This is not production cryptography.** The stream cipher is a SHA-256
-counter keystream and the MAC a truncated HMAC; both are fine for a
-simulator (no adversary runs inside the process) and keep the repository
-dependency-free. DESIGN.md §4 records the substitution.
-
-Fast path
----------
-
-Appendix B frames the pipe-terminus as an ASIC-bound datapath; its software
-stand-in must at least be algorithmically lean. Three things make per-packet
-cost here: subkey derivation, keystream generation, and the XOR. The
-:class:`SealingKey` schedule removes the first (the two HMAC-SHA256 subkey
-derivations and the MAC's key-pad absorption happen once per key, not per
-packet), an incremental hash construction removes most of the second (one
-pre-absorbed SHA-256 state is ``copy()``-ed per block instead of rehashing
-``key || nonce`` from scratch), and a single big-int XOR removes the third
-(one C-level operation instead of a per-byte generator expression). The
-wire format and every emitted byte are identical to the original
-implementation — old seals open under the new code and vice versa
-(``benchmarks/test_crypto_fastpath.py`` proves cross-compatibility and
-measures the speedup).
+The 96-bit GCM nonce is a 4-byte big-endian epoch followed by the 8-byte
+per-sender counter that travels in the packet (:class:`NonceGenerator`).
+Both ends of a PSP association share one key, so each end counts in its
+own half of the counter space (:class:`~repro.core.psp.PSPContext`); a
+(key, epoch, counter) triple then never repeats within an association.
+Sealed output is ``ciphertext || tag`` with a 16-byte tag.
 """
 
 from __future__ import annotations
@@ -37,16 +21,14 @@ import hmac
 import os
 import struct
 from dataclasses import dataclass
+from typing import Iterable
+
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 KEY_SIZE = 32
 TAG_SIZE = 16
 NONCE_SIZE = 8
-_BLOCK = hashlib.sha256().digest_size
-
-# Pre-packed big-endian block counters for the common case (headers span a
-# handful of keystream blocks); larger messages fall back to struct.pack.
-_CTR = [struct.pack(">I", i) for i in range(64)]
-_PACK_CTR = struct.Struct(">I").pack
 
 
 class CryptoError(Exception):
@@ -66,214 +48,46 @@ def derive_key(master: bytes, label: str, context: bytes = b"") -> bytes:
     return hmac.new(master, label.encode() + b"\x00" + context, hashlib.sha256).digest()
 
 
-def _xor(data: bytes, stream: bytes) -> bytes:
-    """XOR ``data`` with the first ``len(data)`` bytes of ``stream``.
-
-    One arbitrary-precision int XOR instead of a per-byte generator
-    expression: the conversion and XOR all run in C.
-    """
-    n = len(data)
-    if n == 0:
-        return b""
-    if len(stream) != n:
-        stream = stream[:n]
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(n, "big")
-
-
 class SealingKey:
-    """Precomputed subkey schedule for one symmetric key.
+    """AES-256-GCM under one key, for one epoch.
 
-    Holds everything :func:`seal`/:func:`open_sealed` would otherwise
-    rederive per packet:
-
-    * the encryption subkey, pre-absorbed into a SHA-256 state so each
-      keystream block is a ``copy() + update(counter) + digest()``;
-    * the MAC subkey's HMAC inner/outer pads, pre-absorbed into two SHA-256
-      states so a tag is two ``copy() + update + digest()`` rounds — the
-      stdlib ``hmac`` wrapper's per-call object construction and key-pad
-      absorption are hoisted out of the packet path entirely.
-
-    Output is bit-identical to the module-level functions; a schedule is
-    purely a cache.
+    The AEAD subkey is ``derive_key(key, "aes-256-gcm")``; the GCM nonce is
+    ``epoch (4B, big-endian) || counter (8B)``, where the caller supplies
+    the 8-byte counter and carries it on the wire.
     """
 
-    __slots__ = ("key", "_ks_base", "_mac_inner", "_mac_outer")
+    __slots__ = ("key", "_aead", "_salt")
 
-    _HMAC_BLOCK = 64  # SHA-256 block size; MAC subkeys (32B) never exceed it
-
-    def __init__(self, key: bytes) -> None:
+    def __init__(self, key: bytes, epoch: int = 0) -> None:
         self.key = key
-        self._ks_base = hashlib.sha256(derive_key(key, "ilp-enc"))
-        # HMAC(k, m) == sha256((k ^ opad) || sha256((k ^ ipad) || m)) for
-        # keys up to one block; pre-absorb both pads.
-        mac_key = derive_key(key, "ilp-mac")
-        pad = mac_key.ljust(self._HMAC_BLOCK, b"\x00")
-        self._mac_inner = hashlib.sha256(bytes(b ^ 0x36 for b in pad))
-        self._mac_outer = hashlib.sha256(bytes(b ^ 0x5C for b in pad))
-
-    def keystream(self, nonce: bytes, length: int) -> bytes:
-        """Counter-mode keystream: SHA256(enc_key || nonce || counter) blocks."""
-        base = self._ks_base.copy()
-        base.update(nonce)
-        if length <= _BLOCK:
-            base.update(_CTR[0])
-            return base.digest()[:length]
-        if length <= 2 * _BLOCK:
-            second = base.copy()
-            base.update(_CTR[0])
-            second.update(_CTR[1])
-            return (base.digest() + second.digest())[:length]
-        blocks = []
-        for counter in range((length + _BLOCK - 1) // _BLOCK):
-            h = base.copy()
-            h.update(_CTR[counter] if counter < 64 else _PACK_CTR(counter))
-            blocks.append(h.digest())
-        return b"".join(blocks)[:length]
-
-    def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        inner = self._mac_inner.copy()
-        inner.update(nonce)
-        if aad:
-            inner.update(aad)
-        inner.update(ciphertext)
-        outer = self._mac_outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()[:TAG_SIZE]
+        self._aead = AESGCM(derive_key(key, "aes-256-gcm"))
+        self._salt = epoch.to_bytes(4, "big")
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Encrypt-then-MAC. Returns ``ciphertext || tag``."""
+        """Encrypt and authenticate. Returns ``ciphertext || tag``."""
         if len(nonce) != NONCE_SIZE:
             raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        ciphertext = _xor(plaintext, self.keystream(nonce, len(plaintext)))
-        return ciphertext + self._tag(nonce, aad, ciphertext)
+        return self._aead.encrypt(self._salt + nonce, plaintext, aad or None)
 
-    def seal_into(
-        self, out: bytearray, nonce: bytes, plaintext: bytes, aad: bytes = b""
-    ) -> bytearray:
-        """Like :meth:`seal`, but appends to ``out`` in place.
-
-        Avoids the ``ciphertext + tag`` intermediate so callers building a
-        framed blob (PSP prepends ``epoch || nonce``) allocate once.
-        """
-        if len(nonce) != NONCE_SIZE:
-            raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        ciphertext = _xor(plaintext, self.keystream(nonce, len(plaintext)))
-        out += ciphertext
-        out += self._tag(nonce, aad, ciphertext)
-        return out
-
-    def seal_frames(
+    def seal_many(
         self,
         prefix: bytes,
-        nonces: list[bytes],
-        plaintext: bytes,
+        runs: Iterable[tuple[list[bytes], bytes]],
         aad: bytes = b"",
     ) -> list[bytes]:
-        """Seal the *same* plaintext under many nonces, fully framed.
+        """Seal ``(nonces, plaintext)`` runs into ``prefix || nonce || ct || tag``.
 
-        Returns one ``prefix || nonce || ciphertext || tag`` blob per nonce —
-        the whole PSP frame in a single concatenation. This is the flow-run
-        egress primitive: a terminus forwarding a run of identical headers
-        seals once per packet but hoists every per-call lookup (hash-state
-        bases, plaintext big-int conversion, block-count branch) out of the
-        loop. Each frame is byte-identical to framing :meth:`seal` output
-        by hand with the same nonce.
+        One frame per nonce, run-major: ``runs[0]``'s frames, then
+        ``runs[1]``'s. Nonces are the caller's 8-byte counters.
         """
-        n = len(plaintext)
-        if nonces and len(nonces[0]) != NONCE_SIZE:
-            raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        ks_base = self._ks_base
-        mac_inner = self._mac_inner
-        mac_outer = self._mac_outer
-        ctr0 = _CTR[0]
-        pt_int = int.from_bytes(plaintext, "big")
-        single_block = n <= _BLOCK
-        keystream = self.keystream
-        frames: list[bytes] = []
-        append = frames.append
-        for nonce in nonces:
-            if single_block:
-                h = ks_base.copy()
-                h.update(nonce)
-                h.update(ctr0)
-                stream = h.digest()
-                if n:
-                    ciphertext = (
-                        pt_int ^ int.from_bytes(stream[:n], "big")
-                    ).to_bytes(n, "big")
-                else:
-                    ciphertext = b""
-            else:
-                ciphertext = (
-                    pt_int ^ int.from_bytes(keystream(nonce, n), "big")
-                ).to_bytes(n, "big")
-            inner = mac_inner.copy()
-            inner.update(nonce)
-            if aad:
-                inner.update(aad)
-            inner.update(ciphertext)
-            outer = mac_outer.copy()
-            outer.update(inner.digest())
-            append(prefix + nonce + ciphertext + outer.digest()[:TAG_SIZE])
-        return frames
-
-    def seal_scatter(
-        self,
-        prefix: bytes,
-        runs: list[tuple[list[bytes], bytes]],
-        aad: bytes = b"",
-    ) -> list[bytes]:
-        """Seal many ``(nonces, plaintext)`` runs into framed blobs, flat.
-
-        The scatter-gather egress primitive: a terminus coalescing several
-        flow groups toward one next hop seals each group's header wire form
-        under that group's nonce span, with the hash-state bases and framing
-        loaded once for the whole scatter. Output order is run-major —
-        ``runs[0]``'s frames, then ``runs[1]``'s — and each frame is
-        byte-identical to :meth:`seal_frames` on the same (nonces,
-        plaintext) pair.
-        """
-        ks_base = self._ks_base
-        mac_inner = self._mac_inner
-        mac_outer = self._mac_outer
-        ctr0 = _CTR[0]
-        keystream = self.keystream
-        tag_size = TAG_SIZE
-        frames: list[bytes] = []
-        append = frames.append
-        for nonces, plaintext in runs:
-            n = len(plaintext)
-            if nonces and len(nonces[0]) != NONCE_SIZE:
-                raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-            pt_int = int.from_bytes(plaintext, "big")
-            single_block = n <= _BLOCK
-            for nonce in nonces:
-                if single_block:
-                    h = ks_base.copy()
-                    h.update(nonce)
-                    h.update(ctr0)
-                    stream = h.digest()
-                    if n:
-                        ciphertext = (
-                            pt_int ^ int.from_bytes(stream[:n], "big")
-                        ).to_bytes(n, "big")
-                    else:
-                        ciphertext = b""
-                else:
-                    ciphertext = (
-                        pt_int ^ int.from_bytes(keystream(nonce, n), "big")
-                    ).to_bytes(n, "big")
-                inner = mac_inner.copy()
-                inner.update(nonce)
-                if aad:
-                    inner.update(aad)
-                inner.update(ciphertext)
-                outer = mac_outer.copy()
-                outer.update(inner.digest())
-                append(prefix + nonce + ciphertext + outer.digest()[:tag_size])
-        return frames
+        encrypt = self._aead.encrypt
+        salt = self._salt
+        aad_or_none = aad or None
+        return [
+            prefix + nonce + encrypt(salt + nonce, plaintext, aad_or_none)
+            for nonces, plaintext in runs
+            for nonce in nonces
+        ]
 
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt output of :meth:`seal`.
@@ -281,27 +95,29 @@ class SealingKey:
         Raises:
             CryptoError: if the tag does not verify (tampering or wrong key).
         """
+        if len(nonce) != NONCE_SIZE:
+            raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
         if len(sealed) < TAG_SIZE:
             raise CryptoError("sealed blob too short")
-        ciphertext, tag = sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]
-        if not hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
-            raise CryptoError("authentication tag mismatch")
-        return _xor(ciphertext, self.keystream(nonce, len(ciphertext)))
+        try:
+            return self._aead.decrypt(self._salt + nonce, sealed, aad or None)
+        except InvalidTag:
+            raise CryptoError("authentication tag mismatch") from None
 
 
 @functools.lru_cache(maxsize=1024)
-def sealing_key(key: bytes) -> SealingKey:
-    """The (LRU-bounded, process-wide) schedule cache for ``key``.
+def sealing_key(key: bytes, epoch: int = 0) -> SealingKey:
+    """The (LRU-bounded, process-wide) cache of :class:`SealingKey` objects.
 
     Long-lived holders (PSP contexts keep one per epoch) should retain the
     returned object; transient callers go through :func:`seal`/
     :func:`open_sealed`, which consult this cache.
     """
-    return SealingKey(key)
+    return SealingKey(key, epoch)
 
 
 def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """Encrypt-then-MAC. Returns ``ciphertext || tag``.
+    """AES-256-GCM under ``key`` (epoch 0). Returns ``ciphertext || tag``.
 
     The nonce is caller-supplied (PSP carries it in the packet) and MUST be
     unique per (key, packet); :class:`NonceGenerator` provides that.
@@ -319,18 +135,22 @@ def open_sealed(key: bytes, nonce: bytes, sealed: bytes, aad: bytes = b"") -> by
 
 
 class NonceGenerator:
-    """Monotonic per-sender nonces (PSP uses a per-SA counter the same way)."""
+    """Monotonic per-sender nonces (PSP uses a per-SA counter the same way).
 
-    __slots__ = ("_counter",)
+    Nonces run from ``start + 1`` up to, but excluding, ``limit``.
+    """
+
+    __slots__ = ("_counter", "_limit")
 
     _PACK = struct.Struct(">Q").pack
 
-    def __init__(self, start: int = 0) -> None:
+    def __init__(self, start: int = 0, limit: int = 2**64) -> None:
         self._counter = start
+        self._limit = limit
 
     def next(self) -> bytes:
         self._counter += 1
-        if self._counter >= 2**64:
+        if self._counter >= self._limit:
             raise CryptoError("nonce space exhausted; rekey required")
         return self._PACK(self._counter)
 
@@ -342,7 +162,7 @@ class NonceGenerator:
         """
         start = self._counter
         end = start + count
-        if end >= 2**64:
+        if end >= self._limit:
             raise CryptoError("nonce space exhausted; rekey required")
         self._counter = end
         pack = self._PACK

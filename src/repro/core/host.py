@@ -70,7 +70,7 @@ class Host(NetNode):
         self.address = address
         self.subnet = ipaddress.IPv4Network(subnet)
         self.keypair = keypair or KeyPair.generate()
-        self.keystore = PeerKeyStore()
+        self.keystore = PeerKeyStore(owner=address)
         self._first_hops: list[Any] = []  # ServiceNode references
         self._addr_to_node: dict[str, NetNode] = {}
         self._connections: dict[int, HostConnection] = {}
@@ -263,12 +263,11 @@ class Host(NetNode):
         if conn.closed:
             return
         conn.closed = True
-        header = ILPHeader(
-            service_id=conn.service_id,
-            connection_id=conn.connection_id,
-            flags=Flags.LAST,
-        )
-        header.set_str(TLV.SRC_HOST, self.address)
+        # The LAST packet carries the connection's full addressing (DEST_ADDR,
+        # DEST_SN, setup TLVs) so every SN on the path can route it onward
+        # and drop its own cached state for the connection.
+        header = self._build_header(conn, None, first=False)
+        header.flags |= Flags.LAST
         target = conn.direct_peer or conn.via_sn
         self._seal_and_send(target, header, Payload(l4=None))
 

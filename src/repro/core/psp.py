@@ -11,20 +11,36 @@ PSP's properties that ILP relies on (§4):
 
 Wire format of the sealed ILP header::
 
-    | epoch (1B) | nonce (8B) | ciphertext+tag (variable) |
+    | epoch (1B) | nonce (8B) | ciphertext (variable) | tag (16B) |
+
+The cipher is AES-256-GCM (:class:`~repro.core.crypto.SealingKey`) under a
+per-epoch key derived from the association's master secret; the GCM nonce
+is the epoch (4B, big-endian) followed by the 8-byte nonce counter.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .. import sanitize as _san
 from . import crypto
 
-_HEADER_FMT = ">B8s"
-_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+#: epoch (1B) + nonce counter (8B) ahead of the ciphertext
+_HEADER_SIZE = 1 + crypto.NONCE_SIZE
+_MIN_BLOB = _HEADER_SIZE + crypto.TAG_SIZE
+#: first nonce counter of the upper half (see :class:`PSPContext`)
+_HALF = 2**63
+
+
+def lower_nonces() -> crypto.NonceGenerator:
+    """Nonce counters 1 .. 2**63 - 1: one end of an association."""
+    return crypto.NonceGenerator(limit=_HALF)
+
+
+def upper_nonces() -> crypto.NonceGenerator:
+    """Nonce counters 2**63 + 1 onward: the other end of an association."""
+    return crypto.NonceGenerator(start=_HALF)
 
 
 class PSPError(Exception):
@@ -41,10 +57,16 @@ class PSPStats:
 
 
 class PSPContext:
-    """One direction-agnostic security association between two ILP peers.
+    """One end of a security association between two ILP peers.
 
     Both peers construct a context from the same master secret (established
-    at association time — host↔SN registration or SN↔SN pipe setup).
+    at association time — host↔SN registration or SN↔SN pipe setup), so
+    both seal under the same keys. To keep the two directions from ever
+    sealing with the same nonce, the ends count in disjoint halves of the
+    counter space: ``nonces`` defaults to the lower half (1 to 2**63 - 1)
+    and :func:`upper_nonces` gives the other end 2**63 + 1 onward.
+    Receivers accept either half, since the counter travels in every
+    packet.
     """
 
     __slots__ = (
@@ -58,19 +80,25 @@ class PSPContext:
         "_san_hwm",
     )
 
-    def __init__(self, master_secret: bytes, epoch: int = 0) -> None:
+    def __init__(
+        self,
+        master_secret: bytes,
+        epoch: int = 0,
+        *,
+        nonces: Optional[crypto.NonceGenerator] = None,
+    ) -> None:
         if len(master_secret) < 16:
             raise PSPError("master secret too short")
         self._master = master_secret
         self._epoch = epoch & 0xFF
-        #: epoch -> ready-to-use subkey schedule. Rotation builds the new
-        #: epoch's schedule exactly once; the per-packet path never derives.
+        #: epoch -> ready-to-use AEAD key. Rotation builds the new epoch's
+        #: key exactly once; the per-packet path never derives.
         self._keys: dict[int, crypto.SealingKey] = {
             self._epoch: self._epoch_schedule(self._epoch)
         }
         self._seal_key = self._keys[self._epoch]
         self._prefix = bytes([self._epoch])
-        self._nonce = crypto.NonceGenerator()
+        self._nonce = lower_nonces() if nonces is None else nonces
         self.stats = PSPStats()
         #: Sanitizer state: per-epoch high-water mark of sealed nonces.
         self._san_hwm: dict[int, int] = {}
@@ -79,24 +107,16 @@ class PSPContext:
     def epoch(self) -> int:
         return self._epoch
 
-    @property
-    def seal_schedule(self) -> crypto.SealingKey:
-        """The key schedule currently used to seal (the active epoch's)."""
-        return self._seal_key
-
     def known_epochs(self) -> tuple[int, ...]:
         """Epochs this context can currently open, oldest first."""
         return tuple(sorted(self._keys))
 
-    def cached_schedule(self, epoch: int) -> Optional[crypto.SealingKey]:
-        """The resident schedule for ``epoch``, or None (never derives)."""
-        return self._keys.get(epoch)
-
     def _san_check_nonce(self, nonce: bytes) -> None:
         """Armed check: nonces within one epoch must strictly increase.
 
-        Nonce reuse under one key voids the keystream's confidentiality, so
-        any repeat or regression is an immediate
+        Nonce reuse under one AES-GCM key voids confidentiality and lets a
+        forger recover the authentication key, so any repeat or regression
+        is an immediate
         :class:`~repro.sanitize.SanitizeError`.
         """
         value = int.from_bytes(nonce, "big")
@@ -108,11 +128,9 @@ class PSPContext:
             )
         self._san_hwm[self._epoch] = value
 
-    def _epoch_key(self, epoch: int) -> bytes:
-        return crypto.derive_key(self._master, "psp-epoch", bytes([epoch]))
-
     def _epoch_schedule(self, epoch: int) -> crypto.SealingKey:
-        return crypto.sealing_key(self._epoch_key(epoch))
+        epoch_key = crypto.derive_key(self._master, "psp-epoch", bytes([epoch]))
+        return crypto.sealing_key(epoch_key, epoch)
 
     def rotate(self) -> int:
         """Advance to the next epoch; the prior epoch stays accepted.
@@ -133,138 +151,55 @@ class PSPContext:
         self.stats.rekeys += 1
         return self._epoch
 
+    # The public seal/open entry points only describe their burst to one
+    # private core (``_seal`` takes ``(plaintext, count)`` items). They never
+    # call one another, so a wrapper that counts calls per entry point (the
+    # perfbench tracer) sees each packet once.
+
     def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Encrypt an ILP header for the peer.
+        """Encrypt one ILP header for the peer."""
+        return self._seal(((plaintext, 1),), aad)[0]
 
-        Single-allocation fast path: the ``epoch || nonce || ct || tag``
-        frame is assembled in one growing buffer via
-        :meth:`crypto.SealingKey.seal_into` (no intermediate
-        ``ciphertext + tag`` copy, no struct call).
-        """
-        nonce = self._nonce.next()
-        if _san.ENABLED:
-            self._san_check_nonce(nonce)
-        out = bytearray(self._prefix)
-        out += nonce
-        self._seal_key.seal_into(out, nonce, plaintext, aad)
-        stats = self.stats
-        stats.packets_sealed += 1
-        stats.bytes_sealed += len(plaintext)
-        return bytes(out)
-
-    def seal_batch(self, plaintexts, aad: bytes = b"") -> list[bytes]:
-        """Seal many plaintexts back-to-back.
-
-        Equivalent to ``[self.seal(pt, aad) for pt in plaintexts]`` — same
-        bytes, same nonce sequence — with the schedule/prefix lookups and
-        stats updates hoisted out of the loop.
-        """
-        seal_into = self._seal_key.seal_into
-        prefix = self._prefix
-        nonce_next = self._nonce.next
-        san_check = self._san_check_nonce if _san.ENABLED else None
-        out: list[bytes] = []
-        append = out.append
-        total = 0
-        for plaintext in plaintexts:
-            nonce = nonce_next()
-            if san_check is not None:
-                san_check(nonce)
-            buf = bytearray(prefix)
-            buf += nonce
-            seal_into(buf, nonce, plaintext, aad)
-            append(bytes(buf))
-            total += len(plaintext)
-        stats = self.stats
-        stats.packets_sealed += len(out)
-        stats.bytes_sealed += total
-        return out
+    def seal_batch(self, plaintexts: Iterable[bytes], aad: bytes = b"") -> list[bytes]:
+        """Seal many plaintexts back-to-back (``[seal(pt) for pt in ...]``)."""
+        return self._seal([(plaintext, 1) for plaintext in plaintexts], aad)
 
     def seal_run(self, plaintext: bytes, count: int, aad: bytes = b"") -> list[bytes]:
-        """Seal the *same* plaintext ``count`` times (a flow run's egress).
-
-        Byte-identical to ``count`` consecutive :meth:`seal` calls: nonces
-        advance exactly as they would per packet. The run shape lets
-        :meth:`crypto.SealingKey.seal_frames` hoist everything that does not
-        depend on the nonce out of the per-packet loop.
-        """
-        nonces = self._nonce.take(count)
-        if _san.ENABLED:
-            for nonce in nonces:
-                self._san_check_nonce(nonce)
-        frames = self._seal_key.seal_frames(self._prefix, nonces, plaintext, aad)
-        stats = self.stats
-        stats.packets_sealed += count
-        stats.bytes_sealed += count * len(plaintext)
-        return frames
+        """Seal the *same* plaintext ``count`` times (a flow run's egress)."""
+        return self._seal(((plaintext, count),), aad)
 
     def seal_gather(
         self, items: list[tuple[bytes, int]], aad: bytes = b""
     ) -> list[bytes]:
-        """Seal several ``(plaintext, count)`` runs back-to-back, flat.
+        """Seal several ``(plaintext, count)`` runs back-to-back, flat."""
+        return self._seal(items, aad)
 
-        The scatter-gather egress entry point: one nonce reservation, one
-        :meth:`crypto.SealingKey.seal_scatter` pass, and one stats update
-        cover every run. Byte-identical to calling :meth:`seal_run` per
-        item in order — nonces advance exactly as they would per packet —
-        so regrouping a burst's egress by next hop never changes what any
-        single flow puts on the wire.
+    def _seal(self, items: Sequence[tuple[bytes, int]], aad: bytes) -> list[bytes]:
+        """Seal each ``(plaintext, count)`` item ``count`` times, in order.
+
+        One nonce reservation covers the whole call and nonces advance
+        exactly as they would per packet, so how a burst is split across
+        calls never changes what any packet puts on the wire.
         """
-        total = sum(count for _, count in items)
+        total = 0
+        total_bytes = 0
+        for plaintext, count in items:
+            total += count
+            total_bytes += count * len(plaintext)
         nonces = self._nonce.take(total)
         if _san.ENABLED:
             for nonce in nonces:
                 self._san_check_nonce(nonce)
         runs: list[tuple[list[bytes], bytes]] = []
         offset = 0
-        total_bytes = 0
         for plaintext, count in items:
             runs.append((nonces[offset : offset + count], plaintext))
             offset += count
-            total_bytes += count * len(plaintext)
-        frames = self._seal_key.seal_scatter(self._prefix, runs, aad)
+        frames = self._seal_key.seal_many(self._prefix, runs, aad)
         stats = self.stats
         stats.packets_sealed += total
         stats.bytes_sealed += total_bytes
         return frames
-
-    def open_batch(self, blobs, aad: bytes = b"") -> list[Optional[bytes]]:
-        """Open many blobs; failures yield ``None`` instead of raising.
-
-        Stats match per-blob :meth:`open` calls exactly (one
-        ``packets_opened`` per success, one ``auth_failures`` per failure);
-        the epoch-schedule lookup is a single dict probe per blob and the
-        rare cases (unknown epoch, next-epoch derivation) fall back to the
-        scalar path.
-        """
-        keys_get = self._keys.get
-        min_len = _HEADER_SIZE + crypto.TAG_SIZE
-        out: list[Optional[bytes]] = []
-        append = out.append
-        opened = 0
-        failed = 0
-        for blob in blobs:
-            if len(blob) < min_len:
-                failed += 1
-                append(None)
-                continue
-            schedule = keys_get(blob[0])
-            if schedule is None:
-                try:
-                    append(self.open(blob, aad))  # scalar path keeps stats
-                except PSPError:
-                    append(None)
-                continue
-            try:
-                append(schedule.open(blob[1:_HEADER_SIZE], blob[_HEADER_SIZE:], aad))
-                opened += 1
-            except crypto.CryptoError:
-                failed += 1
-                append(None)
-        stats = self.stats
-        stats.packets_opened += opened
-        stats.auth_failures += failed
-        return out
 
     def open(self, blob: bytes, aad: bytes = b"") -> bytes:
         """Decrypt a sealed ILP header from the peer.
@@ -273,31 +208,44 @@ class PSPContext:
             PSPError: if the blob is malformed, the epoch unknown, or the
                 authentication tag fails.
         """
-        if len(blob) < _HEADER_SIZE + crypto.TAG_SIZE:
+        return self._open(blob, aad)
+
+    def open_batch(self, blobs: Iterable[bytes], aad: bytes = b"") -> list[Optional[bytes]]:
+        """Open many blobs; failures yield ``None`` instead of raising."""
+        out: list[Optional[bytes]] = []
+        for blob in blobs:
+            try:
+                out.append(self._open(blob, aad))
+            except PSPError:
+                out.append(None)
+        return out
+
+    def _open(self, blob: bytes, aad: bytes) -> bytes:
+        """Open one blob; every failure counts one ``auth_failures``."""
+        stats = self.stats
+        if len(blob) < _MIN_BLOB:
+            stats.auth_failures += 1
             raise PSPError("PSP blob too short")
         epoch = blob[0]
-        nonce = blob[1:_HEADER_SIZE]
         schedule = self._keys.get(epoch)
         if schedule is None:
             # A peer may be one epoch ahead of us; derive forward once.
-            if epoch == ((self._epoch + 1) & 0xFF):
-                schedule = self._epoch_schedule(epoch)
-                self._keys[epoch] = schedule
-            else:
-                self.stats.auth_failures += 1
+            if epoch != ((self._epoch + 1) & 0xFF):
+                stats.auth_failures += 1
                 raise PSPError(f"unknown PSP epoch {epoch}")
+            schedule = self._keys[epoch] = self._epoch_schedule(epoch)
         try:
-            plaintext = schedule.open(nonce, blob[_HEADER_SIZE:], aad)
+            plaintext = schedule.open(blob[1:_HEADER_SIZE], blob[_HEADER_SIZE:], aad)
         except crypto.CryptoError as exc:
-            self.stats.auth_failures += 1
+            stats.auth_failures += 1
             raise PSPError("PSP authentication failed") from exc
-        self.stats.packets_opened += 1
+        stats.packets_opened += 1
         return plaintext
 
     @staticmethod
     def overhead() -> int:
         """Wire bytes PSP adds beyond the plaintext header."""
-        return _HEADER_SIZE + crypto.TAG_SIZE
+        return _MIN_BLOB
 
 
 @dataclass(slots=True)
@@ -307,12 +255,27 @@ class PeerKeyStore:
     The pipe-terminus consults this on every packet: the packet's outer L3
     source selects the context used to open its ILP header, and each
     forwarding destination's context seals the outgoing header (Figure 2).
+
+    ``owner`` is this node's own address. Of the two ends of an
+    association, the one whose address sorts lower seals from the upper
+    half of the nonce space, so the two directions never share a nonce.
+    The store keeps each peer's nonce counter for its lifetime: an
+    association that is torn down and established again derives the same
+    pairwise secret, so its counter carries on rather than restarting.
     """
 
+    owner: str = ""
     contexts: dict[str, PSPContext] = field(default_factory=dict)
+    _nonces: dict[str, crypto.NonceGenerator] = field(
+        default_factory=dict, repr=False
+    )
 
     def establish(self, peer: str, master_secret: bytes) -> PSPContext:
-        ctx = PSPContext(master_secret)
+        nonces = self._nonces.get(peer)
+        if nonces is None:
+            nonces = upper_nonces() if self.owner < peer else lower_nonces()
+            self._nonces[peer] = nonces
+        ctx = PSPContext(master_secret, nonces=nonces)
         self.contexts[peer] = ctx
         return ctx
 
@@ -329,20 +292,12 @@ class PeerKeyStore:
         """Resolve the contexts for a burst's distinct peers in one pass.
 
         The sharding stage calls this once per delivery event with the
-        distinct next hops it is about to seal toward; touching each
-        context's :attr:`~PSPContext.seal_schedule` here pulls the active
-        epoch's key schedule into the working set before the egress loop
-        runs. Unknown peers are simply absent from the result (the caller
-        counts the drop), mirroring a failed table probe.
+        distinct next hops it is about to seal toward. Unknown peers are
+        simply absent from the result (the caller counts the drop),
+        mirroring a failed table probe.
         """
         contexts = self.contexts
-        out: dict[str, PSPContext] = {}
-        for peer in peers:
-            ctx = contexts.get(peer)
-            if ctx is not None:
-                _ = ctx.seal_schedule
-                out[peer] = ctx
-        return out
+        return {peer: contexts[peer] for peer in peers if peer in contexts}
 
     def remove(self, peer: str) -> None:
         self.contexts.pop(peer, None)

@@ -74,7 +74,7 @@ class ServiceNode(NetNode):
         self.address = address
         self.edomain_name = edomain_name
         self.cost_model = cost_model or CostModel()
-        self.keystore = PeerKeyStore()
+        self.keystore = PeerKeyStore(owner=address)
         self.cache = DecisionCache(capacity=cache_capacity)
         self.env = ExecutionEnvironment(self, tpm=tpm)
         self.terminus = PipeTerminus(

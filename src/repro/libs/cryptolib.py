@@ -1,7 +1,7 @@
 """Cryptography library for service modules (the AES-NI stand-in).
 
-Wraps the repository's simulation-grade primitives behind the interface a
-service module uses: payload encryption (distinct from ILP header PSP),
+Wraps the repository's primitives (AES-256-GCM sealing, HMAC-SHA256
+derivation) behind the interface a service module uses: payload encryption (distinct from ILP header PSP),
 hashing, HMAC, and layered "onion" wrapping for relay/mixnet services.
 """
 

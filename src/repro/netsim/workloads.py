@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-import numpy as np
-
 from .engine import Simulator
 
 #: A sink receives (sequence_number, size_bytes) at each generation event.
@@ -182,6 +180,10 @@ class ZipfRequestStream:
             raise WorkloadError("catalog must be non-empty")
         if self.alpha <= 0:
             raise WorkloadError("alpha must be positive")
+        # numpy is imported here, not at module level: it is only needed by
+        # this stream and costs ~14 MiB of resident memory on import.
+        import numpy as np
+
         ranks = np.arange(1, self.catalog_size + 1, dtype=float)
         weights = ranks ** (-self.alpha)
         self._probs = weights / weights.sum()

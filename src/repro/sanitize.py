@@ -4,9 +4,10 @@ Setting ``REPRO_SANITIZE=1`` in the environment arms cheap runtime
 assertions at the datapath and resilience layers, analogous to compiling
 with ``-fsanitize``:
 
-* **nonce monotonicity** — within one :class:`~repro.core.psp.SealingKey`
-  epoch a PSP context must never seal two packets with the same or a
-  decreasing nonce counter (reuse would void confidentiality);
+* **nonce monotonicity** — within one epoch (one
+  :class:`~repro.core.crypto.SealingKey`) a PSP context must never seal two
+  packets with the same or a decreasing nonce counter (reuse would void
+  confidentiality);
 * **cache/index coherence** — after every
   :class:`~repro.core.decision_cache.DecisionCache` mutation the secondary
   connection index, the random-access key list, and the entry table must

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.core import crypto
-from repro.core.psp import PSPContext, PSPError, PeerKeyStore, pairwise_secret
+from repro.core.psp import (
+    PSPContext,
+    PSPError,
+    PeerKeyStore,
+    lower_nonces,
+    pairwise_secret,
+    upper_nonces,
+)
 
 
 class TestSealOpen:
@@ -106,6 +113,14 @@ class TestNonceGenerator:
             with pytest.raises(crypto.CryptoError):
                 gen.next()
 
+    def test_limit_bounds_next_and_take(self):
+        gen = crypto.NonceGenerator(start=5, limit=8)
+        assert gen.take(2) == [(6).to_bytes(8, "big"), (7).to_bytes(8, "big")]
+        with pytest.raises(crypto.CryptoError):
+            gen.next()
+        with pytest.raises(crypto.CryptoError):
+            crypto.NonceGenerator(limit=3).take(3)
+
 
 class TestSealingKeySchedule:
     def test_schedule_matches_module_functions(self):
@@ -120,21 +135,34 @@ class TestSealingKeySchedule:
         key = crypto.random_key()
         assert crypto.sealing_key(key) is crypto.sealing_key(key)
 
-    def test_seal_into_appends_in_place(self):
+    def test_seal_many_frames_every_nonce_run_major(self):
+        key = crypto.random_key()
+        sk = crypto.sealing_key(key)
+        gen = crypto.NonceGenerator()
+        first, second = gen.take(2), gen.take(1)
+        frames = sk.seal_many(b"P", [(first, b"one"), (second, b"two")], aad=b"a")
+        expected = [
+            b"P" + nonce + sk.seal(nonce, plaintext, aad=b"a")
+            for nonce, plaintext in zip(first + second, [b"one", b"one", b"two"])
+        ]
+        assert frames == expected
+        assert sk.open(second[0], frames[2][1 + crypto.NONCE_SIZE :], aad=b"a") == b"two"
+
+    def test_epoch_separates_nonce_space(self):
+        """The same key and counter under two epochs use two GCM nonces."""
         key = crypto.random_key()
         nonce = crypto.NonceGenerator().next()
-        sk = crypto.sealing_key(key)
-        out = bytearray(b"prefix")
-        sk.seal_into(out, nonce, b"payload")
-        assert bytes(out[:6]) == b"prefix"
-        assert crypto.open_sealed(key, nonce, bytes(out[6:])) == b"payload"
+        sealed = crypto.SealingKey(key, epoch=1).seal(nonce, b"x")
+        assert sealed != crypto.SealingKey(key, epoch=2).seal(nonce, b"x")
+        with pytest.raises(crypto.CryptoError):
+            crypto.SealingKey(key, epoch=2).open(nonce, sealed)
 
     def test_bad_nonce_length_rejected(self):
         sk = crypto.SealingKey(crypto.random_key())
         with pytest.raises(crypto.CryptoError):
             sk.seal(b"short", b"x")
         with pytest.raises(crypto.CryptoError):
-            sk.seal_into(bytearray(), b"toolongnonce", b"x")
+            sk.open(b"toolongnonce", b"x" * crypto.TAG_SIZE)
 
 
 class TestPSPContext:
@@ -230,10 +258,7 @@ class TestEpochRotationEdgeCases:
         a.rotate()
         assert b.open(a.seal(b"first")) == b"first"
         assert a.epoch in b.known_epochs()  # derived once, retained
-        schedule = b.cached_schedule(a.epoch)
-        assert schedule is not None
         assert b.open(a.seal(b"second")) == b"second"
-        assert b.cached_schedule(a.epoch) is schedule  # not re-derived
 
     def test_two_epochs_ahead_rejected(self):
         a, b = self._pair()
@@ -259,7 +284,6 @@ class TestEpochRotationEdgeCases:
     def test_rotation_builds_schedule_once(self):
         a, _ = self._pair()
         a.rotate()
-        assert a.cached_schedule(a.epoch) is a.seal_schedule
         assert len(a.known_epochs()) == 2  # current + previous only, forever
 
 
@@ -292,3 +316,56 @@ class TestPeerKeyStore:
         store.establish("10.0.0.9", crypto.random_key())
         store.remove("10.0.0.9")
         assert not store.has("10.0.0.9")
+
+
+class TestDirectionalNonces:
+    """The two ends of one association share a key but never a nonce."""
+
+    @staticmethod
+    def _counter(blob: bytes) -> tuple[int, int]:
+        return blob[0], int.from_bytes(blob[1 : 1 + crypto.NONCE_SIZE], "big")
+
+    def test_upper_half_starts_past_lower_half(self):
+        secret = crypto.random_key()
+        lower, upper = PSPContext(secret), PSPContext(secret, nonces=upper_nonces())
+        assert self._counter(lower.seal(b"x")) == (0, 1)
+        assert self._counter(upper.seal(b"x")) == (0, 2**63 + 1)
+        assert lower.open(upper.seal(b"up")) == b"up"
+        assert upper.open(lower.seal(b"down")) == b"down"
+
+    def test_lower_half_stops_short_of_upper_half(self):
+        with pytest.raises(crypto.CryptoError):
+            lower_nonces().take(2**63)  # its last counter would be 2**63
+        assert upper_nonces().next() == (2**63 + 1).to_bytes(8, "big")
+
+    def test_stores_pick_opposite_halves(self):
+        secret = crypto.random_key()
+        a = PeerKeyStore(owner="10.0.0.1").establish("10.0.0.2", secret)
+        b = PeerKeyStore(owner="10.0.0.2").establish("10.0.0.1", secret)
+        assert self._counter(a.seal(b"x")) != self._counter(b.seal(b"x"))
+
+    def test_reestablished_association_keeps_counting(self):
+        store = PeerKeyStore(owner="10.0.0.2")
+        secret = crypto.random_key()
+        first = store.establish("10.0.0.1", secret).seal(b"x")
+        store.remove("10.0.0.1")
+        again = store.establish("10.0.0.1", secret).seal(b"x")
+        assert self._counter(again)[1] == self._counter(first)[1] + 1
+
+    def test_host_sn_and_sn_sn_associations_use_distinct_nonces(self):
+        from repro.core.host import Host
+        from repro.core.service_node import ServiceNode
+        from repro.netsim import Simulator
+
+        sim = Simulator()
+        sn = ServiceNode(sim, "sn", "10.0.0.1")
+        peer = ServiceNode(sim, "peer", "10.0.0.2")
+        host = Host(sim, "h", "192.168.0.1")
+        sn.associate_host(host)
+        sn.establish_pipe(peer)
+        for x, y in ((host, sn), (sn, peer)):
+            x_to_y = x.keystore.get(y.address).seal(b"first")
+            y_to_x = y.keystore.get(x.address).seal(b"first")
+            assert self._counter(x_to_y) != self._counter(y_to_x)
+            assert y.keystore.get(x.address).open(x_to_y) == b"first"
+            assert x.keystore.get(y.address).open(y_to_x) == b"first"

@@ -185,3 +185,37 @@ class TestFailover:
         count = sn.failover_to(standby)
         assert count == 1
         assert standby_svc.packets_seen == 17
+
+
+class TestCloseAcrossSNs:
+    """A LAST packet must reach every SN on the path, not die at the first."""
+
+    def test_close_clears_every_sn_on_the_path(self):
+        from repro.scenarios import metro_federation
+
+        handles = metro_federation(n_edomains=2, sns_per_edomain=2, hosts_per_sn=1)
+        src, dst = handles.hosts[1], handles.hosts[3]  # sn-0-1 → sn-1-1
+        conn = src.connect(
+            WellKnownService.IP_DELIVERY,
+            dest_addr=dst.address,
+            dest_sn=dst.first_hop_addresses[0],
+            allow_direct=False,
+        )
+        for i in range(3):
+            src.send(conn, b"data-%d" % i)
+        handles.net.run(1.0)
+
+        def holding():
+            return [
+                sn.name
+                for sn in handles.sns
+                if any(k.connection_id == conn.connection_id for k in sn.cache.keys())
+            ]
+
+        assert len(holding()) >= 2, "the path must span several SNs"
+        src.close(conn)
+        handles.net.run(1.0)
+        assert holding() == []
+        assert sum(sn.terminus.stats.drops_by_service for sn in handles.sns) == 0
+        last = [h for h, _ in dst.delivered if h.flags & Flags.LAST]
+        assert [h.connection_id for h in last] == [conn.connection_id]

@@ -75,6 +75,7 @@ class TestNonceMonotonicity:
         ctx.seal(b"a")
         ctx.seal_batch([b"b", b"c"])
         ctx.seal_run(b"d", 3)
+        ctx.seal_gather([(b"e", 2), (b"f", 1)])
         ctx.rotate()
         ctx.seal(b"e")
 
@@ -93,6 +94,13 @@ class TestNonceMonotonicity:
             ctx.seal_batch([b"a", b"b"])
         with pytest.raises(sanitize.SanitizeError, match="nonce-monotonic"):
             ctx.seal_run(b"c", 2)
+
+    def test_regression_detected_on_gather(self, armed):
+        ctx = self._ctx()
+        ctx.seal_gather([(b"a", 2)])
+        ctx._san_hwm[ctx.epoch] = 2**40  # repro: allow(DET002) forced regression
+        with pytest.raises(sanitize.SanitizeError, match="nonce-monotonic"):
+            ctx.seal_gather([(b"b", 2), (b"c", 1)])
 
     def test_disarmed_skips_the_check(self, disarmed):
         ctx = self._ctx()

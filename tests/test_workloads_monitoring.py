@@ -1,5 +1,9 @@
 """Tests for workload generators and federation monitoring."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import WellKnownService
@@ -114,6 +118,22 @@ class TestZipf:
             ZipfRequestStream(catalog_size=0)
         with pytest.raises(WorkloadError):
             ZipfRequestStream(catalog_size=10, alpha=0.0)
+
+    def test_numpy_is_imported_only_when_a_stream_is_built(self):
+        """numpy costs ~14 MiB resident; importing the package must not load it."""
+        code = (
+            "import sys, repro, repro.scenarios\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported eagerly'\n"
+            "from repro.netsim import ZipfRequestStream\n"
+            "ZipfRequestStream(catalog_size=4)\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMonitoring:
